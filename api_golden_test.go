@@ -28,7 +28,7 @@ var updateGolden = flag.Bool("update", false, "regenerate testdata golden files"
 
 // publicPackages lists every directory whose exported surface is part
 // of the public API contract.
-var publicPackages = []string{".", "stream", "transport", "simnet", "realudp", "rendezvousapi", "relayapi", "natcheckapi", "realnet"}
+var publicPackages = []string{".", "stream", "transport", "simnet", "realudp", "rendezvousapi", "relayapi", "natcheckapi"}
 
 func TestAPISurfaceGolden(t *testing.T) {
 	var out bytes.Buffer

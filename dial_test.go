@@ -21,7 +21,7 @@ import (
 // session must be accounted for (zero after a released dial).
 func recount(d *Dialer) (attempts, negotiations, sessions int) {
 	d.tr.Invoke(func() {
-		attempts = d.client.PendingUDPAttempts() + d.client.PendingTCPAttempts()
+		attempts = d.client.PendingUDPAttempts()
 		negotiations = d.agent.PendingNegotiations()
 		sessions = d.client.UDPSessionCount()
 	})

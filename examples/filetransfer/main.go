@@ -1,41 +1,46 @@
-// File transfer example: TCP hole punching (§4) used for what TCP is
-// for — a bulk reliable stream. Two peers behind NATs punch a TCP
-// session through the public Dialer/Listener/Conn API (WithTCP) and
-// transfer 256 KiB, verified with a FNV hash; runs once with
-// BSD-style stacks and once with Linux-style stacks to show both
-// §4.3 behaviors carrying real data.
+// File transfer example: a bulk reliable stream between two peers
+// behind NATs. The peers punch a UDP session through the public
+// Dialer/Listener/Conn API (WithStreams) and carry a natpunch/stream
+// session over it, transferring 256 KiB verified with a FNV hash. It
+// runs once between well-behaved NATs, where the stream rides the
+// punched direct path (§3.4), and once between symmetric NATs, where
+// punching fails (§5.1) and the same stream rides the §2.2 relay.
 package main
 
 import (
 	"fmt"
 	"hash/fnv"
+	"io"
 	"time"
 
 	"natpunch"
 	"natpunch/rendezvousapi"
 	"natpunch/simnet"
+	"natpunch/stream"
 )
 
 const fileSize = 256 << 10
 
-func transfer(flavor simnet.OSFlavor) {
+func transfer(nat func() simnet.NAT) {
 	world := simnet.NewWorld(5)
 	defer world.Close()
 	core := world.Core()
 	s := core.AddHost("S", "18.181.0.31")
 	server, err := rendezvousapi.Serve(s.Transport(), 1234)
 	check(err)
-	realmA := core.AddSite("NAT-A", simnet.Cone(), "155.99.25.11", "10.0.0.0/24")
-	realmB := core.AddSite("NAT-B", simnet.Cone(), "138.76.29.7", "10.1.1.0/24")
-	hostA := realmA.AddHostOS("A", "10.0.0.1", flavor)
-	hostB := realmB.AddHostOS("B", "10.1.1.3", flavor)
+	realmA := core.AddSite("NAT-A", nat(), "155.99.25.11", "10.0.0.0/24")
+	realmB := core.AddSite("NAT-B", nat(), "138.76.29.7", "10.1.1.0/24")
+	hostA := realmA.AddHost("A", "10.0.0.1")
+	hostB := realmB.AddHost("B", "10.1.1.3")
 
-	sender, err := natpunch.Open(hostA.Transport(), "sender", server.Endpoint(),
-		natpunch.WithTCP(), natpunch.WithLocalPort(4321))
+	opts := []natpunch.Option{
+		natpunch.WithStreams(), natpunch.WithRelayFallback(),
+		natpunch.WithPunchTimeout(2 * time.Second), natpunch.WithLocalPort(4321),
+	}
+	sender, err := natpunch.Open(hostA.Transport(), "sender", server.Endpoint(), opts...)
 	check(err)
 	defer sender.Close()
-	receiver, err := natpunch.Open(hostB.Transport(), "receiver", server.Endpoint(),
-		natpunch.WithTCP(), natpunch.WithLocalPort(4321))
+	receiver, err := natpunch.Open(hostB.Transport(), "receiver", server.Endpoint(), opts...)
 	check(err)
 	defer receiver.Close()
 
@@ -58,37 +63,44 @@ func transfer(flavor simnet.OSFlavor) {
 	go func() {
 		conn, err := ln.AcceptConn()
 		if err != nil {
+			done <- summary{}
 			return
 		}
-		got := fnv.New64a()
-		received := 0
-		buf := make([]byte, 32<<10)
-		conn.SetReadDeadline(time.Now().Add(60 * time.Second))
-		for received < fileSize {
-			n, err := conn.Read(buf)
-			if err != nil {
-				break
-			}
-			got.Write(buf[:n])
-			received += n
+		sess, err := stream.NewSession(conn)
+		if err != nil {
+			done <- summary{}
+			return
 		}
-		done <- summary{received, received == fileSize && got.Sum64() == want.Sum64(), conn.Path()}
+		defer sess.Close()
+		st, err := sess.AcceptStream()
+		if err != nil {
+			done <- summary{}
+			return
+		}
+		st.SetReadDeadline(time.Now().Add(60 * time.Second))
+		got := fnv.New64a()
+		n, _ := io.Copy(got, st)
+		done <- summary{int(n), n == fileSize && got.Sum64() == want.Sum64(), conn.Path()}
 	}()
 
 	start := world.Now()
 	conn, err := sender.Dial("receiver")
 	check(err)
 	fmt.Printf("  sender:   stream via %s to %v\n", conn.Path(), conn.RemoteAddr())
-	// Send in 8 KiB application chunks.
+	sess, err := stream.NewSession(conn)
+	check(err)
+	defer sess.Close()
+	st, err := sess.OpenStream()
+	check(err)
+	st.SetWriteDeadline(time.Now().Add(60 * time.Second))
+	// Send in 8 KiB application chunks, then half-close so the
+	// receiver sees EOF after the last byte.
 	for off := 0; off < len(file); off += 8 << 10 {
-		end := off + 8<<10
-		if end > len(file) {
-			end = len(file)
-		}
-		if _, err := conn.Write(file[off:end]); err != nil {
-			panic(err)
-		}
+		end := min(off+8<<10, len(file))
+		_, err := st.Write(file[off:end])
+		check(err)
 	}
+	check(st.CloseWrite())
 	sum := <-done
 	fmt.Printf("  receiver: stream via %s\n", sum.path)
 	fmt.Printf("  %d/%d bytes, hash match: %v, virtual transfer time %v\n",
@@ -96,11 +108,11 @@ func transfer(flavor simnet.OSFlavor) {
 }
 
 func main() {
-	fmt.Println("TCP hole punched file transfer (256 KiB):")
-	fmt.Println("BSD-style stacks (§4.3 first behavior):")
-	transfer(simnet.BSD)
-	fmt.Println("Linux-style stacks (§4.3 second behavior):")
-	transfer(simnet.Linux)
+	fmt.Println("Stream file transfer over punched UDP (256 KiB):")
+	fmt.Println("Cone NATs: punched direct path (§3.4):")
+	transfer(simnet.Cone)
+	fmt.Println("Symmetric NATs: punching fails, relay through S (§2.2, §5.1):")
+	transfer(simnet.Symmetric)
 }
 
 func check(err error) {

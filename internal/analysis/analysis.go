@@ -183,7 +183,6 @@ func DefaultConfig() *Config {
 			"natpunch/transport",
 			"natpunch/simnet",
 			"natpunch/realudp",
-			"natpunch/realnet",
 			"natpunch/relayapi",
 			"natpunch/rendezvousapi",
 			"natpunch/natcheckapi",
@@ -213,7 +212,6 @@ func DefaultConfig() *Config {
 			"natpunch/transport",
 			"natpunch/simnet",
 			"natpunch/realudp",
-			"natpunch/realnet",
 			"natpunch/internal/punch",
 			"natpunch/internal/ice",
 			"natpunch/internal/relay",

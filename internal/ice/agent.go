@@ -200,6 +200,15 @@ func (a *Agent) intercept(from inet.Endpoint, m *proto.Message) bool {
 		if n := a.negs[m.Nonce]; n != nil && !n.done && n.peer == m.From {
 			a.nominate(n, from, m)
 		}
+	case proto.TypeRelayed:
+		// The relay counterpart of early data: the peer's deadline
+		// came first and it nominated the relay, so its checks have
+		// stopped and our own would only run out the clock while its
+		// relayed data is dropped. Nominate the relay now and return
+		// false so the client delivers the payload to it.
+		if len(m.Data) > 0 && a.c.LookupUDPSession(m.From) == nil {
+			a.earlyRelay(m.From)
+		}
 	case proto.TypeError:
 		// S could not broker the negotiation (peer unknown/offline).
 		// Fail matching requester-side negotiations; fall through so
@@ -374,19 +383,54 @@ func (a *Agent) timeout(n *negotiation) {
 		a.tracef("checks for %s exhausted; session stays on relay", n.peer)
 		return
 	}
-	if a.c.Config().RelayFallback && !a.cfg.NoRelay {
-		s := a.c.AdoptUDPSession(n.peer, inet.Endpoint{}, punch.MethodRelay, n.nonce,
-			punch.UDPCallbacks{Data: n.cb.Data, Dead: n.cb.Dead})
+	if a.relayAllowed() {
 		a.tracef("checks for %s exhausted; nominating relay", n.peer)
-		if n.cb.Established != nil {
-			n.cb.Established(s, Candidate{Kind: KindRelay, Endpoint: a.c.RelayVia(n.peer)})
-		}
+		a.nominateRelay(n)
 		return
 	}
 	a.tracef("negotiation with %s timed out", n.peer)
 	if n.cb.Failed != nil {
 		n.cb.Failed(n.peer, punch.ErrPunchTimeout)
 	}
+}
+
+func (a *Agent) relayAllowed() bool { return a.c.Config().RelayFallback && !a.cfg.NoRelay }
+
+// nominateRelay adopts a finished negotiation's session on the relay
+// candidate.
+func (a *Agent) nominateRelay(n *negotiation) {
+	s := a.c.AdoptUDPSession(n.peer, inet.Endpoint{}, punch.MethodRelay, n.nonce,
+		punch.UDPCallbacks{Data: n.cb.Data, Dead: n.cb.Dead})
+	if n.cb.Established != nil {
+		n.cb.Established(s, Candidate{Kind: KindRelay, Endpoint: a.c.RelayVia(n.peer)})
+	}
+}
+
+// earlyRelay nominates the relay for a sessionless negotiation with
+// peer as soon as S relays data from it (see intercept). Only
+// responder-side negotiations qualify: a requester dials because it
+// holds no session with us, and relayed traffic trails the forwarded
+// offer through S, so its data can only come from the session this
+// negotiation gave it. On the requester side the data may come from
+// a stale session the peer still holds, and nominating the relay on
+// it would abandon a punchable path. The lowest-nonce match wins, so
+// crossing negotiations resolve the same way whatever the map order.
+func (a *Agent) earlyRelay(peer string) {
+	if !a.relayAllowed() {
+		return
+	}
+	var n *negotiation
+	for _, x := range a.negs {
+		if x.peer == peer && !x.requester && !x.done && !x.established && (n == nil || x.nonce < n.nonce) {
+			n = x
+		}
+	}
+	if n == nil {
+		return
+	}
+	a.finish(n)
+	a.tracef("relayed traffic from %s before our deadline; nominating relay", peer)
+	a.nominateRelay(n)
 }
 
 // repunch is installed as the client's OnRepunch hook: a background

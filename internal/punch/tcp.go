@@ -16,7 +16,6 @@ type TCPCallbacks struct {
 	Established func(*TCPSession)
 	Failed      func(peer string, err error)
 	Data        func(*TCPSession, []byte)
-	Closed      func(*TCPSession)
 }
 
 // TCPSession is an established peer-to-peer TCP stream (or a relayed
@@ -434,9 +433,6 @@ func (c *Client) win(a *tcpAttempt, conn *tcp.Conn, dec proto.StreamDecoder) {
 			if !s.closed {
 				s.closed = true
 				delete(c.tcpSessions, s.Peer)
-				if s.cb.Closed != nil {
-					s.cb.Closed(s)
-				}
 			}
 		},
 	})
@@ -466,29 +462,6 @@ func (c *Client) tcpAttemptTimeout(a *tcpAttempt) {
 		a.cb.Failed(a.peer, ErrPunchTimeout)
 	}
 }
-
-// AbortTCP cancels in-flight TCP punching attempts we initiated
-// toward peer without firing their callbacks — the release path for
-// context-cancelled dials. Responder-side attempts are untouched so a
-// cancelled dial cannot kill the peer's crossing dial. It reports
-// whether anything was cancelled.
-func (c *Client) AbortTCP(peer string) bool {
-	aborted := false
-	for n, a := range c.tcpAttempts {
-		if a.peer == peer && a.requester && !a.done {
-			a.stop(nil)
-			delete(c.tcpAttempts, n)
-			aborted = true
-		}
-	}
-	if aborted {
-		c.tracef("tcp attempt to %s aborted", peer)
-	}
-	return aborted
-}
-
-// PendingTCPAttempts counts in-flight TCP punching attempts.
-func (c *Client) PendingTCPAttempts() int { return len(c.tcpAttempts) }
 
 func (c *Client) tcpServerError(m *proto.Message) {
 	for n, a := range c.tcpAttempts {
@@ -527,9 +500,6 @@ func (s *TCPSession) feed(p []byte) {
 
 // OnData replaces the session's data callback.
 func (s *TCPSession) OnData(fn func(*TCPSession, []byte)) { s.cb.Data = fn }
-
-// OnClosed replaces the session's closed callback.
-func (s *TCPSession) OnClosed(fn func(*TCPSession)) { s.cb.Closed = fn }
 
 // Send transmits one framed message on the session.
 func (s *TCPSession) Send(data []byte) error {

@@ -101,31 +101,19 @@ func (a *udpAttempt) stop() {
 	}
 }
 
-// BindUDP binds the client's UDP socket to localPort without yet
-// registering with S. Most callers use RegisterUDP; binding alone
-// supports adapters that must own a socket before the rendezvous
-// server is reachable.
-func (c *Client) BindUDP(localPort inet.Port) error {
-	if c.udp != nil {
-		return nil
-	}
-	s, err := c.tr.BindUDP(localPort)
-	if err != nil {
-		return err
-	}
-	c.udp = s
-	c.udpPrivate = s.Local()
-	s.OnRecv(c.handleUDPPacket)
-	return nil
-}
-
-// RegisterUDP binds the client's UDP socket to localPort and
+// RegisterUDP binds the client's UDP socket to localPort (once) and
 // registers with S — and with every configured standalone relay
 // server — learning the public endpoint. done is invoked with nil on
 // success or an error once the whole pool's retries are exhausted.
 func (c *Client) RegisterUDP(localPort inet.Port, done func(error)) error {
-	if err := c.BindUDP(localPort); err != nil {
-		return err
+	if c.udp == nil {
+		s, err := c.tr.BindUDP(localPort)
+		if err != nil {
+			return err
+		}
+		c.udp = s
+		c.udpPrivate = s.Local()
+		s.OnRecv(c.handleUDPPacket)
 	}
 	c.udpRegDone = done
 	c.udpRegTries = 0
@@ -210,11 +198,9 @@ func (c *Client) PrivateUDP() inet.Endpoint { return c.udpPrivate }
 
 // ConnectUDP starts hole punching toward peer (§3.2 step 1: "A asks S
 // for help establishing a UDP session with B"). The outcome arrives
-// via cb. The socket must be bound; normally the caller has
-// registered first (RegisterUDP). A merely-bound client may still
-// try — blocking adapters rely on that — but unless S already knows
-// this client the request fails with ErrPeerUnknown (S's error reply
-// blames the pair, not the missing registration).
+// via cb. The caller must have called RegisterUDP first; a request
+// sent before S knows this client fails with ErrPeerUnknown (S's
+// error reply blames the pair, not the missing registration).
 func (c *Client) ConnectUDP(peer string, cb UDPCallbacks) {
 	if c.udp == nil {
 		if cb.Failed != nil {
@@ -498,28 +484,70 @@ func (c *Client) udpAttemptTimeout(a *udpAttempt) {
 		return // the session died while re-punching; nothing to fall back for
 	}
 	if c.cfg.RelayFallback {
-		// §2.2: relaying always works as long as both clients can
-		// reach S (or a configured standalone relay server).
-		s := &UDPSession{c: c, Peer: a.peer, Via: MethodRelay, Nonce: a.nonce, cb: a.cb}
-		s.relayVia, s.relayDynamic = c.relayRoute(a.peer)
-		now := c.now()
-		s.lastRecvT, s.lastDirectRecvT, s.lastRepunch = now, now, now
-		c.udpSessions[a.peer] = s
-		// Relay sessions get the same §3.6 maintenance as punched
-		// ones: the timer sends keep-alives across the relay (empty
-		// Seq-0 RelayTo) and fires Dead on idleness, which is what
-		// tells the application its peer is gone.
-		s.scheduleKeepAlive()
-		c.tracef("udp punch to %s failed; falling back to relay", a.peer)
-		if a.cb.Established != nil {
-			a.cb.Established(s)
-		}
+		c.relayFallback(a)
 		return
 	}
 	c.tracef("udp punch to %s timed out", a.peer)
 	if a.cb.Failed != nil {
 		a.cb.Failed(a.peer, ErrPunchTimeout)
 	}
+}
+
+// relayFallback establishes a stopped attempt's session over the
+// relay: §2.2 relaying always works as long as both clients can reach
+// S (or a configured standalone relay server).
+func (c *Client) relayFallback(a *udpAttempt) *UDPSession {
+	s := &UDPSession{c: c, Peer: a.peer, Via: MethodRelay, Nonce: a.nonce, cb: a.cb}
+	s.relayVia, s.relayDynamic = c.relayRoute(a.peer)
+	now := c.now()
+	s.lastRecvT, s.lastDirectRecvT, s.lastRepunch = now, now, now
+	c.udpSessions[a.peer] = s
+	// Relay sessions get the same §3.6 maintenance as punched ones:
+	// the timer sends keep-alives across the relay (empty Seq-0
+	// RelayTo) and fires Dead on idleness, which is what tells the
+	// application its peer is gone.
+	s.scheduleKeepAlive()
+	c.tracef("udp punch to %s failed; falling back to relay", a.peer)
+	if a.cb.Established != nil {
+		a.cb.Established(s)
+	}
+	return s
+}
+
+// earlyRelayFallback handles relayed data from a peer we are still
+// punching toward: the peer's deadline came first and it fell back to
+// the relay, so no punch-ack will arrive, and its data would be
+// dropped until our own deadline. Data S relayed from the attempt's
+// peer is at least as strong evidence as the deadline — the relay
+// carries the session both ways — so fall back now, the same way
+// early direct data locks a punched session in.
+//
+// Only responder-side attempts qualify: the requester had no session
+// with us when it asked S for the connection (ConnectUDP refuses
+// while one exists), and relayed traffic trails the forwarded request
+// through S, so its data can only come from the session this attempt
+// gave it. On the requester side the data may come from a stale
+// session the peer still holds, and falling back on it would abandon
+// a punchable path. The lowest-nonce match wins, so crossing dials
+// resolve the same way whatever the map order. It returns the new
+// relay session, or nil when no attempt qualifies.
+func (c *Client) earlyRelayFallback(peer string) *UDPSession {
+	if !c.cfg.RelayFallback {
+		return nil
+	}
+	var a *udpAttempt
+	for _, x := range c.udpAttempts {
+		if x.peer == peer && !x.requester && !x.done && !x.upgrade && (a == nil || x.nonce < a.nonce) {
+			a = x
+		}
+	}
+	if a == nil {
+		return nil
+	}
+	a.stop()
+	delete(c.udpAttempts, a.nonce)
+	c.tracef("relayed traffic from %s before our punch deadline", peer)
+	return c.relayFallback(a)
 }
 
 func (c *Client) handleServerError(m *proto.Message) {
@@ -611,6 +639,9 @@ func (c *Client) handleSessionKeepAlive(from inet.Endpoint, m *proto.Message) {
 
 func (c *Client) handleRelayed(m *proto.Message) {
 	s := c.udpSessions[m.From]
+	if s == nil && len(m.Data) > 0 {
+		s = c.earlyRelayFallback(m.From)
+	}
 	if s == nil || (s.Via != MethodRelay && !c.cfg.PathUpgrade) {
 		// Relayed data can also arrive for TCP relay sessions.
 		c.tcpHandleRelayed(m)

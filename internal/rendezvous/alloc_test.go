@@ -24,6 +24,9 @@ type stubConn struct {
 	onRecv func(from inet.Endpoint, payload []byte)
 	sent   int
 	lastTo inet.Endpoint
+	// log, when set, records "type destination" per send; the
+	// allocation gates leave it off.
+	log *[]string
 }
 
 func (c *stubConn) Local() inet.Endpoint                               { return c.local }
@@ -31,6 +34,13 @@ func (c *stubConn) OnRecv(fn func(from inet.Endpoint, payload []byte)) { c.onRec
 func (c *stubConn) SendTo(to inet.Endpoint, payload []byte) error {
 	c.sent++
 	c.lastTo = to
+	if c.log != nil {
+		m, err := proto.Decode(payload)
+		if err != nil {
+			return err
+		}
+		*c.log = append(*c.log, m.Type.String()+" "+to.String())
+	}
 	return nil
 }
 func (c *stubConn) Close()              {}

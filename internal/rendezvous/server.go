@@ -156,13 +156,7 @@ type Server struct {
 // New starts a rendezvous server on simulated host h at port (UDP and
 // TCP).
 func New(h *host.Host, port inet.Port, obf proto.Obfuscator) (*Server, error) {
-	return NewOver(h.Transport(), port, obf)
-}
-
-// NewOver starts a rendezvous server over an arbitrary transport at
-// port with default registry and TTL.
-func NewOver(tr transport.Transport, port inet.Port, obf proto.Obfuscator) (*Server, error) {
-	return Serve(tr, Config{Port: port, Obf: obf})
+	return Serve(h.Transport(), Config{Port: port, Obf: obf})
 }
 
 // Serve starts a rendezvous server over tr with explicit
@@ -320,7 +314,9 @@ func (s *Server) handleUDP(from inet.Endpoint, payload []byte) {
 
 // registerUDP implements §3.1: record the observed public endpoint
 // (from the packet header) and the self-reported private one, start
-// the TTL, echo both back, and replicate to federation peers.
+// the TTL, replicate to federation peers, and echo both back. The
+// replication goes out first, so no registrant can learn it is
+// registered, and be dialed through a peer, before the peer knows it.
 func (s *Server) registerUDP(from inet.Endpoint, m *proto.Message) {
 	rec := Record{
 		Name:      m.From,
@@ -330,6 +326,7 @@ func (s *Server) registerUDP(from inet.Endpoint, m *proto.Message) {
 	}
 	s.reg.Put(rec)
 	s.stats.RegistrationsUDP++
+	s.replicate(rec)
 	out := &s.scratchMsg
 	*out = proto.Message{
 		Type: proto.TypeRegisterOK, Target: m.From,
@@ -337,7 +334,6 @@ func (s *Server) registerUDP(from inet.Endpoint, m *proto.Message) {
 		Private: rec.Private,
 	}
 	s.sendUDP(from, out)
-	s.replicate(rec)
 }
 
 // keepAliveUDP implements §3.6 on the registration session: refresh

@@ -1,10 +1,9 @@
 package natpunch
 
 // Regression tests carrying the engine's §3.6 keep-alive / idle-death
-// guarantees (pinned in the simulator by the PR-2 fleet tests, e.g.
-// TestRelaySessionIdleDeath) onto real sockets: the old realnet stack
-// had neither, and the transport unification is what brings them
-// along for free.
+// guarantees (pinned in the simulator by the fleet tests, e.g.
+// TestRelaySessionIdleDeath) onto real sockets: the facade runs the
+// same engine over realudp, so they come along for free.
 
 import (
 	"errors"

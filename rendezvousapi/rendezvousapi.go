@@ -9,9 +9,7 @@
 // One Serve call covers both worlds: pass a simnet host's Transport
 // to anchor a simulated deployment, or a realudp Transport to run the
 // production server on a real socket (cmd/rendezvous does exactly
-// that). Over a simulated host the server additionally listens on
-// TCP for the §4 procedures; UDP-only transports serve the UDP
-// surface alone.
+// that).
 //
 // Registrations live in a pluggable sharded registry with §3.6 TTL
 // eviction: a client that dies without teardown stops being dialable

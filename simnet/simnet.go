@@ -67,15 +67,6 @@ func Hairpin(b NAT) NAT {
 	return b
 }
 
-// OSFlavor selects a host's TCP demultiplexing behavior (§4.3).
-type OSFlavor = host.OSFlavor
-
-// OS flavors for AddHostOS.
-const (
-	BSD   = host.BSDStyle
-	Linux = host.LinuxStyle
-)
-
 // World is one simulated internetwork and its event loop.
 type World struct {
 	mu      sync.Mutex
@@ -173,17 +164,11 @@ func (r *Realm) AddSite(name string, profile NAT, outsideAddr, lanCIDR string) *
 	return &Realm{w: r.w, r: r.r.AddSite(name, profile, outsideAddr, lanCIDR)}
 }
 
-// AddHost attaches a (BSD-flavored) host at addr.
+// AddHost attaches a host at addr.
 func (r *Realm) AddHost(name, addr string) *Host {
-	return r.AddHostOS(name, addr, BSD)
-}
-
-// AddHostOS attaches a host at addr with an explicit OS flavor
-// (relevant only to TCP hole punching, §4.3).
-func (r *Realm) AddHostOS(name, addr string, flavor OSFlavor) *Host {
 	r.w.mu.Lock()
 	defer r.w.mu.Unlock()
-	return &Host{w: r.w, h: r.r.AddHost(name, addr, flavor)}
+	return &Host{w: r.w, h: r.r.AddHost(name, addr, host.BSDStyle)}
 }
 
 // Host is a simulated end host.
@@ -244,13 +229,4 @@ func (t *worldTransport) RemoveWaiter() {
 	t.w.mu.Lock()
 	t.w.waiters--
 	t.w.mu.Unlock()
-}
-
-// SimHost exposes the underlying simulated host, unlocking the
-// engine's TCP punching surface.
-func (t *worldTransport) SimHost() *host.Host {
-	if hp, ok := t.inner.(interface{ SimHost() *host.Host }); ok {
-		return hp.SimHost()
-	}
-	return nil
 }
