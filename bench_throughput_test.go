@@ -5,10 +5,8 @@ package natpunch
 // measures how fast sessions come up, these benchmarks measure how
 // much traffic the infrastructure moves once they are up:
 //
-//   - BenchmarkThroughput/registry — registration store ops/sec, the
-//     brokering tier's bookkeeping ceiling;
 //   - BenchmarkThroughput/forwarder — §3.2 introductions/sec over
-//     real loopback sockets;
+//     real loopback sockets, registry lookups included;
 //   - BenchmarkRelayGoodput — §2.2 relayed datagrams/sec over
 //     loopback, batched (sendmmsg/recvmmsg) vs the portable
 //     per-datagram fallback. The batched path is the PR's tentpole;
@@ -42,7 +40,6 @@ import (
 
 	"natpunch/internal/inet"
 	"natpunch/internal/proto"
-	"natpunch/internal/rendezvous"
 	"natpunch/realudp"
 	"natpunch/relayapi"
 	"natpunch/rendezvousapi"
@@ -295,30 +292,9 @@ func BenchmarkRelayGoodput(b *testing.B) {
 }
 
 // BenchmarkThroughput covers the remaining infrastructure hot paths:
-// registration store ops/sec, forwarder introductions/sec, and the
+// forwarder introductions/sec (each one two registry lookups) and the
 // batched relay goodput once more under its deployment-shaped name.
 func BenchmarkThroughput(b *testing.B) {
-	b.Run("registry", func(b *testing.B) {
-		reg := rendezvous.NewShardedRegistry(16)
-		names := make([]string, 1024)
-		eps := make([]inet.Endpoint, len(names))
-		for i := range names {
-			names[i] = fmt.Sprintf("peer-%04d", i)
-			eps[i] = inet.MustParseEndpoint(fmt.Sprintf("10.0.%d.%d:4000", i/256, i%256))
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			n := names[i%len(names)]
-			reg.Put(rendezvous.Record{Name: n, Public: eps[i%len(eps)]})
-			if _, ok := reg.Get(n, time.Second); !ok {
-				b.Fatal("registry lost a live record")
-			}
-		}
-		ops := 2 * float64(b.N) / b.Elapsed().Seconds()
-		b.ReportMetric(ops, "ops/s")
-		recordThroughput("registry_ops_per_sec", ops)
-	})
 	b.Run("forwarder", func(b *testing.B) {
 		requireLoopbackUDP(b)
 		tr, err := realudp.New("127.0.0.1:0")

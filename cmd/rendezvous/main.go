@@ -40,7 +40,6 @@ func main() {
 	advertise := flag.String("advertise", "", "endpoint to advertise to clients and peers (required for wildcard binds reachable from elsewhere)")
 	join := flag.String("join", "", "comma-separated federation peers to join (host:port,...)")
 	relayOnly := flag.Bool("relay-only", false, "serve only the standalone §2.2 relay surface (registration, keep-alives, relaying)")
-	shards := flag.Int("shards", 0, "registry shard count (0 = default)")
 	flag.Parse()
 
 	fail := func(err error) {
@@ -81,9 +80,6 @@ func main() {
 		if !adv.IsZero() {
 			opts = append(opts, relayapi.WithAdvertise(adv))
 		}
-		if *shards > 0 {
-			opts = append(opts, relayapi.WithRegistryShards(*shards))
-		}
 		srv, err := relayapi.Serve(tr, 0, opts...)
 		if err != nil {
 			fail(err)
@@ -101,9 +97,6 @@ func main() {
 	var opts []rendezvousapi.ServeOption
 	if !adv.IsZero() {
 		opts = append(opts, rendezvousapi.WithAdvertise(adv))
-	}
-	if *shards > 0 {
-		opts = append(opts, rendezvousapi.WithRegistryShards(*shards))
 	}
 	opts = append(opts, rendezvousapi.WithPeers(peers...))
 	srv, err := rendezvousapi.Serve(tr, 0, opts...)

@@ -260,8 +260,8 @@ func TestFederatedLoopbackFailover(t *testing.T) {
 // bugfix: a server bound to 0.0.0.0 used to report that unroutable
 // address verbatim from Endpoint(); WithAdvertise makes it report the
 // operator-routable endpoint instead (what cmd/rendezvous prints and
-// federation peers are given), while BoundEndpoint-style transport
-// introspection still sees the real bind.
+// federation peers are given), while the transport itself stays
+// bound to the wildcard address.
 func TestWithAdvertiseOverridesWildcardEndpoint(t *testing.T) {
 	requireLoopbackUDP(t)
 	adv := transport.MustParseEndpoint("203.0.113.7:7000")

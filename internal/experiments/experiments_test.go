@@ -1,6 +1,7 @@
 package experiments_test
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 // generated vendor populations reproduces every per-vendor cell of
 // Table 1.
 func TestTable1Reproduction(t *testing.T) {
-	r := experiments.Table1Survey(1)
+	r := suiteResult(t, "E1")
 	if r.Metrics["row_mismatches"] != 0 {
 		t.Fatalf("Table 1 rows mismatched:\n%s", r.Table)
 	}
@@ -99,13 +100,13 @@ func TestFigureExperiments(t *testing.T) {
 			}
 		},
 	}
-	for _, e := range experiments.All() {
+	results := suiteRun()
+	for i, e := range experiments.All() {
 		if e.ID == "E1" {
-			continue // covered above (slow)
+			continue // checked by TestTable1Reproduction
 		}
-		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			r := e.Run(1)
+			r := results[i]
 			if r.Table == "" {
 				t.Fatal("empty table")
 			}
@@ -126,4 +127,38 @@ func TestLookup(t *testing.T) {
 	if _, ok := experiments.Lookup("E99"); ok {
 		t.Error("E99 should not exist")
 	}
+}
+
+// TestExperimentsMarkdownMatchesRun pins EXPERIMENTS.md: its fenced
+// block must be exactly what `go run ./cmd/experiments -seed 1`
+// prints (each result, then a blank line), so a change that moves any
+// E-table fails here until the file is regenerated.
+func TestExperimentsMarkdownMatchesRun(t *testing.T) {
+	md, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, block, ok := strings.Cut(string(md), "\n```\n")
+	if ok {
+		block, _, ok = strings.Cut(block, "\n```")
+	}
+	if !ok {
+		t.Fatal("EXPERIMENTS.md has no fenced block")
+	}
+	var b strings.Builder
+	for _, r := range suiteRun() {
+		b.WriteString(r.String() + "\n\n")
+	}
+	got := strings.TrimRight(b.String(), "\n")
+	if got == block {
+		return
+	}
+	run, doc := strings.Split(got, "\n"), strings.Split(block, "\n")
+	i := 0
+	for i < len(run) && i < len(doc) && run[i] == doc[i] {
+		i++
+	}
+	run, doc = append(run, ""), append(doc, "") // one line past the end reads as empty
+	t.Fatalf("EXPERIMENTS.md differs from the seed-1 run at line %d of its fenced block "+
+		"(regenerate with go run ./cmd/experiments -seed 1):\n run: %q\n doc: %q", i+1, run[i], doc[i])
 }

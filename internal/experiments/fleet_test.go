@@ -3,8 +3,6 @@ package experiments_test
 import (
 	"strings"
 	"testing"
-
-	"natpunch/internal/experiments"
 )
 
 // TestFleetSerialParallelIdentical is the E-FLEET acceptance bar: the
@@ -13,14 +11,7 @@ import (
 // (seed, config) simulation and aggregation happens in submission
 // order.
 func TestFleetSerialParallelIdentical(t *testing.T) {
-	defer experiments.SetWorkers(experiments.SetWorkers(1))
-	experiments.SetWorkers(1)
-	serial := runOne(t, "E-FLEET", 1)
-	experiments.SetWorkers(8)
-	parallel := runOne(t, "E-FLEET", 1)
-	if serial != parallel {
-		t.Errorf("E-FLEET serial and 8-worker outputs differ:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
-	}
+	requireSerialMatchesSuite(t, "E-FLEET")
 }
 
 // TestFleetTable1Expectations sanity-checks the fleet outcomes
@@ -28,11 +19,7 @@ func TestFleetSerialParallelIdentical(t *testing.T) {
 // symmetric-involved pairs fall back to relay, nothing hard-fails
 // while the relay fallback is on.
 func TestFleetTable1Expectations(t *testing.T) {
-	e, ok := experiments.Lookup("E-FLEET")
-	if !ok {
-		t.Fatal("E-FLEET not registered")
-	}
-	r := e.Run(1)
+	r := suiteResult(t, "E-FLEET")
 	if r.Metrics["total_attempts"] == 0 {
 		t.Fatal("fleet made no punch attempts")
 	}

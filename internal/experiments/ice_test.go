@@ -3,22 +3,13 @@ package experiments_test
 import (
 	"strings"
 	"testing"
-
-	"natpunch/internal/experiments"
 )
 
 // TestICESerialParallelIdentical is the E-ICE acceptance bar: the
 // rendered table must be byte-identical at -parallel 1 and
 // -parallel 8 for the same seed.
 func TestICESerialParallelIdentical(t *testing.T) {
-	defer experiments.SetWorkers(experiments.SetWorkers(1))
-	experiments.SetWorkers(1)
-	serial := runOne(t, "E-ICE", 1)
-	experiments.SetWorkers(8)
-	parallel := runOne(t, "E-ICE", 1)
-	if serial != parallel {
-		t.Errorf("E-ICE serial and 8-worker outputs differ:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
-	}
+	requireSerialMatchesSuite(t, "E-ICE")
 }
 
 // TestICEExpectations pins the scenario outcomes the issue's
@@ -26,11 +17,7 @@ func TestICESerialParallelIdentical(t *testing.T) {
 // candidates, and symmetric<->symmetric pairs behind a hairpinning
 // CGN connect without relay.
 func TestICEExpectations(t *testing.T) {
-	e, ok := experiments.Lookup("E-ICE")
-	if !ok {
-		t.Fatal("E-ICE not registered")
-	}
-	r := e.Run(1)
+	r := suiteResult(t, "E-ICE")
 	if r.Metrics["total_attempts"] == 0 {
 		t.Fatal("no attempts recorded")
 	}

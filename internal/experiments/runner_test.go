@@ -3,6 +3,7 @@ package experiments_test
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 
 	"natpunch/internal/experiments"
@@ -22,19 +23,43 @@ func runOne(t *testing.T, id string, seed int64) string {
 	return e.Run(seed).String()
 }
 
+// suiteRun is one seed-1 run of every experiment on an 8-wide pool —
+// what `go run ./cmd/experiments -seed 1` prints. The tests that check
+// seed-1 results all read it, so no experiment runs twice at one width.
+var suiteRun = sync.OnceValue(func() []experiments.Result {
+	defer experiments.SetWorkers(experiments.SetWorkers(8))
+	return experiments.RunAll(1)
+})
+
+// suiteResult returns experiment id's result from suiteRun.
+func suiteResult(t *testing.T, id string) experiments.Result {
+	t.Helper()
+	for _, r := range suiteRun() {
+		if r.ID == id {
+			return r
+		}
+	}
+	t.Fatalf("experiment %s not registered", id)
+	return experiments.Result{}
+}
+
+// requireSerialMatchesSuite runs id once on a serial pool and requires
+// the rendered table to match the 8-wide suite run byte for byte.
+func requireSerialMatchesSuite(t *testing.T, id string) {
+	t.Helper()
+	parallel := suiteResult(t, id).String()
+	defer experiments.SetWorkers(experiments.SetWorkers(1))
+	if serial := runOne(t, id, 1); serial != parallel {
+		t.Errorf("%s: serial and 8-worker outputs differ:\n--- serial ---\n%s\n--- parallel ---\n%s", id, serial, parallel)
+	}
+}
+
 // TestRunnerSerialParallelIdentical is the engine's core guarantee:
 // the rendered tables are byte-for-byte identical at any worker-pool
 // width.
 func TestRunnerSerialParallelIdentical(t *testing.T) {
-	defer experiments.SetWorkers(experiments.SetWorkers(1))
 	for _, id := range detExperiments {
-		experiments.SetWorkers(1)
-		serial := runOne(t, id, 1)
-		experiments.SetWorkers(8)
-		parallel := runOne(t, id, 1)
-		if serial != parallel {
-			t.Errorf("%s: serial and 8-worker outputs differ:\n--- serial ---\n%s\n--- parallel ---\n%s", id, serial, parallel)
-		}
+		requireSerialMatchesSuite(t, id)
 	}
 }
 
@@ -109,8 +134,7 @@ func TestRunAll(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
 	}
-	defer experiments.SetWorkers(experiments.SetWorkers(0))
-	results := experiments.RunAll(1)
+	results := suiteRun()
 	all := experiments.All()
 	if len(results) != len(all) {
 		t.Fatalf("got %d results, want %d", len(results), len(all))

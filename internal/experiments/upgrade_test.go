@@ -4,8 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"natpunch/internal/experiments"
 )
 
 // TestUpgradeSerialParallelIdentical is the E-UPGRADE acceptance bar:
@@ -13,14 +11,7 @@ import (
 // -parallel 8 for the same seed. Both variants of a scenario share a
 // derived seed, so the pairing itself must also be width-independent.
 func TestUpgradeSerialParallelIdentical(t *testing.T) {
-	defer experiments.SetWorkers(experiments.SetWorkers(1))
-	experiments.SetWorkers(1)
-	serial := runOne(t, "E-UPGRADE", 1)
-	experiments.SetWorkers(8)
-	parallel := runOne(t, "E-UPGRADE", 1)
-	if serial != parallel {
-		t.Errorf("E-UPGRADE serial and 8-worker outputs differ:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
-	}
+	requireSerialMatchesSuite(t, "E-UPGRADE")
 }
 
 // TestUpgradeExpectations pins the experiment's headline claims:
@@ -30,11 +21,7 @@ func TestUpgradeSerialParallelIdentical(t *testing.T) {
 // direct share (upgrading moves timing, not reachability), and the
 // rebind scenario actually exercises failback.
 func TestUpgradeExpectations(t *testing.T) {
-	e, ok := experiments.Lookup("E-UPGRADE")
-	if !ok {
-		t.Fatal("E-UPGRADE not registered")
-	}
-	r := e.Run(1)
+	r := suiteResult(t, "E-UPGRADE")
 
 	for _, sc := range []string{"steady-48", "rebind-24"} {
 		rf, base := r.Metrics[sc+"_rf_connect_p50_ms"], r.Metrics[sc+"_base_connect_p50_ms"]

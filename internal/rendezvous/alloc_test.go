@@ -24,7 +24,7 @@ type stubConn struct {
 	onRecv func(from inet.Endpoint, payload []byte)
 	sent   int
 	lastTo inet.Endpoint
-	// log, when set, records "type destination" per send; the
+	// log, when set, records "type from->destination" per send; the
 	// allocation gates leave it off.
 	log *[]string
 }
@@ -39,7 +39,7 @@ func (c *stubConn) SendTo(to inet.Endpoint, payload []byte) error {
 		if err != nil {
 			return err
 		}
-		*c.log = append(*c.log, m.Type.String()+" "+to.String())
+		*c.log = append(*c.log, m.Type.String()+" "+m.From+"->"+to.String())
 	}
 	return nil
 }
@@ -139,10 +139,10 @@ func TestRelayOnlyZeroAlloc(t *testing.T) {
 func TestFederatedRelayZeroAlloc(t *testing.T) {
 	s, conn := allocServer(t, Config{})
 	home := inet.MustParseEndpoint("18.181.0.32:1234")
-	s.reg.Put(Record{
+	s.reg["carol"] = Record{
 		Name: "carol", Public: inet.MustParseEndpoint("204.16.1.9:7000"),
 		Home: home, ExpiresAt: 0,
-	})
+	}
 	wire := proto.Encode(&proto.Message{
 		Type: proto.TypeRelayTo, From: "alice", Target: "carol",
 		Seq: 3, Data: []byte("cross-server relay"),

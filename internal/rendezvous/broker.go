@@ -20,8 +20,8 @@ import (
 // where the requester's datagram was actually seen.
 func (s *Server) forwardCandidates(m *proto.Message, from inet.Endpoint) {
 	now := s.now()
-	a, aok := s.reg.Get(m.From, now)
-	b, bok := s.reg.Get(m.Target, now)
+	a, aok := s.reg.get(m.From, now)
+	b, bok := s.reg.get(m.Target, now)
 	if !aok || !bok {
 		s.fail(from, m, false)
 		return

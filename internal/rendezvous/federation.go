@@ -74,13 +74,13 @@ func (s *Server) handleFedHello(from inet.Endpoint) {
 func (s *Server) handleFedRecord(from inet.Endpoint, m *proto.Message) {
 	s.addFedPeer(from)
 	s.stats.FedRecords++
-	s.reg.Put(Record{
+	s.reg[m.From] = Record{
 		Name:      m.From,
 		Public:    m.Public,
 		Private:   m.Private,
 		Home:      from,
 		ExpiresAt: s.expiry(),
-	})
+	}
 }
 
 // handleFedForward delivers the wrapped wire bytes to the locally
@@ -88,7 +88,7 @@ func (s *Server) handleFedRecord(from inet.Endpoint, m *proto.Message) {
 func (s *Server) handleFedForward(from inet.Endpoint, m *proto.Message) {
 	s.addFedPeer(from)
 	s.stats.FedForwards++
-	rec, ok := s.reg.Get(m.Target, s.now())
+	rec, ok := s.reg.get(m.Target, s.now())
 	if !ok || !rec.Local() {
 		s.stats.Errors++
 		return
@@ -130,19 +130,20 @@ func (s *Server) replicate(rec Record) {
 	}
 }
 
-// syncTo replays every locally homed registration to one peer, in
-// name order so simulated runs stay bit-for-bit reproducible (map
+// syncTo replays every live, locally homed registration to one peer,
+// in name order so simulated runs stay bit-for-bit reproducible (map
 // iteration order must never leak into the packet stream).
 func (s *Server) syncTo(peer inet.Endpoint) {
-	var local []Record
-	s.reg.Range(s.now(), func(rec Record) bool {
-		if rec.Local() {
-			local = append(local, rec)
+	recs := make([]Record, 0, len(s.reg))
+	for _, rec := range s.reg {
+		recs = append(recs, rec)
+	}
+	sort.Slice(recs, func(i, j int) bool { return recs[i].Name < recs[j].Name })
+	now := s.now()
+	for _, rec := range recs {
+		if !rec.Local() || rec.Expired(now) {
+			continue
 		}
-		return true
-	})
-	sort.Slice(local, func(i, j int) bool { return local[i].Name < local[j].Name })
-	for _, rec := range local {
 		s.sendUDP(peer, &proto.Message{
 			Type: proto.TypeFedRecord, From: rec.Name,
 			Public: rec.Public, Private: rec.Private,

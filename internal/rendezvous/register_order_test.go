@@ -28,8 +28,8 @@ func TestRegisterReplicatesBeforeAck(t *testing.T) {
 	}, 0))
 
 	want := []string{
-		proto.TypeFedRecord.String() + " " + peer.String(),
-		proto.TypeRegisterOK.String() + " " + clientEP("bob").String(),
+		proto.TypeFedRecord.String() + " bob->" + peer.String(),
+		proto.TypeRegisterOK.String() + " ->" + clientEP("bob").String(),
 	}
 	if len(log) != len(want) || log[0] != want[0] || log[1] != want[1] {
 		t.Fatalf("sends on registration = %v, want %v", log, want)

@@ -2,13 +2,12 @@ package rendezvous
 
 import (
 	"sort"
-	"sync"
 	"time"
 
 	"natpunch/internal/inet"
 )
 
-// Record is one client's UDP registration as the registry stores it:
+// Record is one client's UDP registration as the server stores it:
 // the §3.1 endpoint pair (public observed by a server, private
 // reported by the client), which server the client is homed at, and
 // when the record expires unless a §3.6 keep-alive refreshes it.
@@ -40,182 +39,54 @@ func (r Record) Expired(now time.Duration) bool {
 	return r.ExpiresAt > 0 && now > r.ExpiresAt
 }
 
-// Registry is the pluggable registration store behind a rendezvous
-// (or relay-mode) server. Implementations must be safe for concurrent
-// use: the default server drives it from one serialized transport
-// context, but a registry may also be shared across servers or
-// benchmarked from many goroutines.
+// registry is the server's table of UDP registrations, keyed by
+// client name. Like the rest of Server it is only touched from the
+// transport's serialized context, so it takes no lock.
 //
-// Expiry is lazy: Get filters (and evicts) records past their TTL, so
-// no background sweeper — which would keep a discrete-event
+// Expiry is lazy: get and touch evict records past their TTL, so no
+// background sweeper — which would keep a discrete-event
 // simulation's queue eternally non-empty — is required.
-type Registry interface {
-	// Put inserts or replaces the record under rec.Name.
-	Put(rec Record)
-	// Get returns the live record for name. A record past its TTL is
-	// evicted and reported as missing — the §3.6 contract that a
-	// silent peer stops being dialable.
-	Get(name string, now time.Duration) (Record, bool)
-	// Touch restarts the TTL of name's record (a keep-alive arrived)
-	// and optionally refreshes its public endpoint (the NAT may have
-	// expired the old mapping). It reports whether a live record
-	// existed.
-	Touch(name string, public inet.Endpoint, expiresAt, now time.Duration) bool
-	// Remove deletes name's record.
-	Remove(name string)
-	// Len counts live records at now.
-	Len(now time.Duration) int
-	// Range calls fn for every live record at now, in unspecified
-	// order, until fn returns false. Callers that act on the set (for
-	// example federation sync) must impose their own order first.
-	Range(now time.Duration, fn func(Record) bool)
-}
+type registry map[string]Record
 
-// DefaultShards is the shard count of the registry a server builds
-// when none is supplied.
-const DefaultShards = 16
-
-// ShardedRegistry is the default Registry: records are spread over
-// independently locked shards by a stable hash of the name, so
-// registration and lookup scale with cores instead of serializing on
-// one table lock (see BenchmarkRegistryShards).
-type ShardedRegistry struct {
-	shards []registryShard
-}
-
-type registryShard struct {
-	mu   sync.RWMutex
-	recs map[string]Record
-}
-
-// NewShardedRegistry builds a registry with the given shard count
-// (values < 1 take DefaultShards).
-func NewShardedRegistry(shards int) *ShardedRegistry {
-	if shards < 1 {
-		shards = DefaultShards
-	}
-	r := &ShardedRegistry{shards: make([]registryShard, shards)}
-	for i := range r.shards {
-		r.shards[i].recs = make(map[string]Record)
-	}
-	return r
-}
-
-// Shards returns the shard count.
-func (r *ShardedRegistry) Shards() int { return len(r.shards) }
-
-func (r *ShardedRegistry) shard(name string) *registryShard {
-	// Inlined FNV-1a: fnv.New32a escapes through its interface and
-	// would put one heap allocation on every registry operation.
-	h := uint32(2166136261)
-	for i := 0; i < len(name); i++ {
-		h = (h ^ uint32(name[i])) * 16777619
-	}
-	return &r.shards[h%uint32(len(r.shards))]
-}
-
-// Put implements Registry.
-func (r *ShardedRegistry) Put(rec Record) {
-	s := r.shard(rec.Name)
-	s.mu.Lock()
-	s.recs[rec.Name] = rec
-	s.mu.Unlock()
-}
-
-// Get implements Registry, evicting expired records lazily.
-func (r *ShardedRegistry) Get(name string, now time.Duration) (Record, bool) {
-	s := r.shard(name)
-	s.mu.RLock()
-	rec, ok := s.recs[name]
-	s.mu.RUnlock()
+// get returns the live record for name. A record past its TTL is
+// evicted and reported as missing — the §3.6 contract that a silent
+// peer stops being dialable.
+func (r registry) get(name string, now time.Duration) (Record, bool) {
+	rec, ok := r[name]
 	if !ok {
 		return Record{}, false
 	}
 	if rec.Expired(now) {
-		s.mu.Lock()
-		// Re-check under the write lock: a concurrent refresh wins.
-		if cur, ok := s.recs[name]; ok && cur.Expired(now) {
-			delete(s.recs, name)
-		}
-		s.mu.Unlock()
+		delete(r, name)
 		return Record{}, false
 	}
 	return rec, true
 }
 
-// Touch implements Registry.
-func (r *ShardedRegistry) Touch(name string, public inet.Endpoint, expiresAt, now time.Duration) bool {
-	s := r.shard(name)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rec, ok := s.recs[name]
-	if !ok || rec.Expired(now) {
-		if ok {
-			delete(s.recs, name)
-		}
+// touch restarts the TTL of name's record (a keep-alive arrived) and,
+// when public is non-zero, refreshes its public endpoint (the NAT may
+// have expired the old mapping). It reports whether a live record
+// existed; an expired one is evicted, never revived.
+func (r registry) touch(name string, public inet.Endpoint, expiresAt, now time.Duration) bool {
+	rec, ok := r.get(name, now)
+	if !ok {
 		return false
 	}
 	if !public.IsZero() {
 		rec.Public = public
 	}
 	rec.ExpiresAt = expiresAt
-	s.recs[name] = rec
+	r[name] = rec
 	return true
-}
-
-// Remove implements Registry.
-func (r *ShardedRegistry) Remove(name string) {
-	s := r.shard(name)
-	s.mu.Lock()
-	delete(s.recs, name)
-	s.mu.Unlock()
-}
-
-// Len implements Registry.
-func (r *ShardedRegistry) Len(now time.Duration) int {
-	n := 0
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.RLock()
-		//natlint:ignore maporder counting with the pure Expired predicate is order-insensitive
-		for _, rec := range s.recs {
-			if !rec.Expired(now) {
-				n++
-			}
-		}
-		s.mu.RUnlock()
-	}
-	return n
-}
-
-// Range implements Registry.
-func (r *ShardedRegistry) Range(now time.Duration, fn func(Record) bool) {
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.RLock()
-		recs := make([]Record, 0, len(s.recs))
-		//natlint:ignore maporder Range's contract leaves order unspecified; order-sensitive callers sort (federation sync name-sorts, federation.go)
-		for _, rec := range s.recs {
-			if !rec.Expired(now) {
-				recs = append(recs, rec)
-			}
-		}
-		s.mu.RUnlock()
-		for _, rec := range recs {
-			if !fn(rec) {
-				return
-			}
-		}
-	}
 }
 
 // --- stable server ownership (rendezvous hashing) ---
 
 // ownerScore is the rendezvous ("highest random weight") hash of one
 // (name, server) pair. It depends only on the name and the server's
-// endpoint — never on registry shard counts or the order the server
-// list was supplied in — so every participant computes the same owner
-// for a name from the same server set.
+// endpoint — never on the order the server list was supplied in — so
+// every participant computes the same owner for a name from the same
+// server set.
 func ownerScore(name string, server inet.Endpoint) uint64 {
 	// Inlined allocation-free FNV-1a over name ++ endpoint bytes.
 	const prime = 1099511628211
@@ -244,9 +115,9 @@ func ownerScore(name string, server inet.Endpoint) uint64 {
 // Preference orders a server pool for one client name, best first:
 // the head is the name's owner (its home server), the tail is the
 // deterministic failover order. The order is a pure function of the
-// name and the *set* of servers — input order and registry sharding
-// are irrelevant — which is what lets clients, servers, and the fleet
-// simulator all agree on who homes whom.
+// name and the *set* of servers — input order is irrelevant — which
+// is what lets clients, servers, and the fleet simulator all agree on
+// who homes whom.
 func Preference(name string, servers []inet.Endpoint) []inet.Endpoint {
 	out := append([]inet.Endpoint(nil), servers...)
 	scores := make(map[inet.Endpoint]uint64, len(out))

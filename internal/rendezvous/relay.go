@@ -23,7 +23,7 @@ func (s *Server) relay(m *proto.Message) {
 	// Empty Seq-0 relays are §3.6 keep-alives, not the relay load
 	// §2.2 warns about; forward them but keep the stats honest.
 	counted := m.Seq != 0 || len(m.Data) > 0
-	if rec, ok := s.reg.Get(m.Target, s.now()); ok {
+	if rec, ok := s.reg.get(m.Target, s.now()); ok {
 		if counted {
 			s.stats.RelayedMessages++
 			s.stats.RelayedBytes += uint64(len(m.Data))

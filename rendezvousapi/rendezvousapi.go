@@ -11,9 +11,9 @@
 // production server on a real socket (cmd/rendezvous does exactly
 // that).
 //
-// Registrations live in a pluggable sharded registry with §3.6 TTL
-// eviction: a client that dies without teardown stops being dialable
-// once its keep-alives stop, instead of receiving forwards forever.
+// Registrations expire on a §3.6 TTL: a client that dies without
+// teardown stops being dialable once its keep-alives stop, instead of
+// receiving forwards forever.
 // For the standalone §2.2 relay tier, see package natpunch/relayapi.
 package rendezvousapi
 
@@ -47,15 +47,6 @@ func WithAdvertise(ep transport.Endpoint) ServeOption {
 // (default DefaultTTL; negative disables expiry).
 func WithTTL(d time.Duration) ServeOption {
 	return func(c *rendezvous.Config) { c.TTL = d }
-}
-
-// WithRegistryShards sizes the sharded registration store (default
-// rendezvous.DefaultShards). More shards raise concurrent
-// registration/lookup throughput; shard count never affects which
-// server owns a name (ownership uses rendezvous hashing over the
-// server set, not the shard table).
-func WithRegistryShards(n int) ServeOption {
-	return func(c *rendezvous.Config) { c.Registry = rendezvous.NewShardedRegistry(n) }
 }
 
 // WithPeers federates the new server with the given peers at startup

@@ -14,6 +14,8 @@ import (
 	"bytes"
 	"io"
 	"net"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -399,9 +401,6 @@ func runMigrationFailback(t *testing.T, w *world, rec *pathRecorder) []string {
 			time.Sleep(2 * time.Millisecond)
 		}
 	}
-	if got := conn.Path(); got != "relay" {
-		t.Fatalf("relay-first dial started on %q, want relay", got)
-	}
 	writeChunk()
 	waitPathClass("upgrade", "direct")
 	writeChunk()
@@ -429,22 +428,18 @@ func runMigrationFailback(t *testing.T, w *world, rec *pathRecorder) []string {
 	return rec.classes()
 }
 
-// requireTransitions asserts the recorder saw an upgrade off the relay
-// and then a failback onto it.
+// requireTransitions asserts the session's first move was an upgrade
+// off the relay — so the dial started there, which a Path() read right
+// after the dial cannot show without racing the background punch —
+// and that a failback onto the relay followed.
 func requireTransitions(t *testing.T, backend string, events []string) {
 	t.Helper()
-	var upgraded, failedBack bool
-	for _, e := range events {
-		if !upgraded && len(e) > 7 && e[:7] == "relay->" {
-			upgraded = true
-			continue
-		}
-		if upgraded && len(e) > 7 && e[len(e)-7:] == "->relay" {
-			failedBack = true
-		}
-	}
+	upgraded := len(events) > 0 && strings.HasPrefix(events[0], "relay->")
+	failedBack := upgraded && slices.ContainsFunc(events[1:], func(e string) bool {
+		return strings.HasSuffix(e, "->relay")
+	})
 	if !upgraded || !failedBack {
-		t.Errorf("%s: path transitions %v missed upgrade and/or failback", backend, events)
+		t.Errorf("%s: path transitions %v missed a first upgrade off the relay and/or a later failback", backend, events)
 	}
 }
 
